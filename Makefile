@@ -31,9 +31,12 @@ vet: $(BIN)/eisrlint
 # racing forwarding workers and Stop, the routing table's lock-free
 # lookups racing batched applies, the route-feed daemon's flush/sweep
 # machinery racing its sources, and the analyzer suite (whose shared
-# fixture loader is hit from parallel tests).
+# fixture loader is hit from parallel tests). The run loop's doorbell
+# and Step-quiescence tests then repeat 20 times: a lost wakeup shows
+# only on an unlucky interleaving.
 race:
 	$(GO) test -race . ./internal/aiu ./internal/pcu ./internal/ipcore ./internal/telemetry ./internal/ctl ./internal/netio ./internal/routing ./internal/routefeed ./internal/analysis/...
+	$(GO) test -race -count=20 -run 'Doorbell|StepDrainsOutputBacklog|WakeCounters' . ./internal/ipcore ./internal/netdev
 
 # Overhead guards: the telemetry-off flow-cache hit path must stay
 # allocation-free and the disabled record calls under 2ns per packet;

@@ -70,6 +70,11 @@ type Stats struct {
 	SchedEnq     uint64
 	ICMPSent     uint64
 	Fragmented   uint64
+	// Run-loop wakeups from a park on an idle iteration, by cause: an
+	// RX enqueue or pool flush rang the doorbell, or the fallback timer
+	// fired with no doorbell.
+	WakeBell  uint64
+	WakeTimer uint64
 }
 
 // coreStats is the lock-free live counter set; Stats() snapshots it.
@@ -91,6 +96,8 @@ type coreStats struct {
 	schedEnq    telemetry.Counter
 	icmpSent    telemetry.Counter
 	fragmented  telemetry.Counter
+	wakeBell    telemetry.Counter
+	wakeTimer   telemetry.Counter
 }
 
 // ifaceState is one immutable generation of the router's interface
@@ -204,6 +211,13 @@ type Router struct {
 	// steers through it instead of forwarding inline.
 	pool *Pool
 
+	// bell is the run loop's doorbell, installed on every
+	// attached interface: RX enqueues and pool flushes ring it, and an
+	// idle Run parks on it. idle is the fallback timer period of that
+	// park (idleWait; tests lengthen it to prove the bell alone wakes).
+	bell netdev.Doorbell
+	idle time.Duration
+
 	// guard is the plugin fault barrier (Config.Guard; nil-safe).
 	guard *pcu.Guard
 
@@ -240,6 +254,8 @@ type Router struct {
 	telPoolDrop     *telemetry.Counter
 	telDegraded     *telemetry.Counter
 	telPktNanos     *telemetry.Histogram
+	telWakeBell     *telemetry.Counter
+	telWakeTimer    *telemetry.Counter
 
 	// ptrace is the in-band path tracer (eisrpath), captured from the
 	// registry at assembly; nil (all methods no-op) when path tracing
@@ -266,6 +282,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg: cfg, mode: cfg.Mode, gates: gates, aiu: cfg.AIU,
 		clock: clock, guard: cfg.Guard,
+		bell: netdev.NewDoorbell(), idle: idleWait,
 	}
 	r.state.Store(&ifaceState{
 		ifaces:   make(map[int32]*netdev.Interface),
@@ -337,6 +354,12 @@ func (r *Router) initTelemetry(t *telemetry.Telemetry) {
 		"packets forwarded past a faulted gate under the forward policy")
 	r.telPktNanos = t.Histogram("eisr_packet_ns",
 		"end-to-end data-path nanoseconds (traced packets only)")
+	wake := func(cause string) *telemetry.Counter {
+		return t.Counter("eisr_core_wakeups_total", "idle run-loop wakeups by cause",
+			telemetry.Label{Key: "cause", Value: cause})
+	}
+	r.telWakeBell = wake("bell")
+	r.telWakeTimer = wake("timer")
 }
 
 // countDrop records the dropped verdict plus its reason cell.
@@ -369,6 +392,7 @@ func (r *Router) AddInterface(ifc *netdev.Interface) {
 		ifc.ReserveMbufs(r.pool.n * poolQueueLen)
 	}
 	ifc.SetTelemetry(r.tel)
+	ifc.SetDoorbell(r.bell)
 	var zero pkt.Addr
 	if ifc.Addr != zero {
 		ns.local[ifc.Addr] = ifc.Index
@@ -438,6 +462,8 @@ func (r *Router) Stats() Stats {
 		SchedEnq:     r.stats.schedEnq.Value(),
 		ICMPSent:     r.stats.icmpSent.Value(),
 		Fragmented:   r.stats.fragmented.Value(),
+		WakeBell:     r.stats.wakeBell.Value(),
+		WakeTimer:    r.stats.wakeTimer.Value(),
 	}
 }
 
@@ -1099,8 +1125,11 @@ func (r *Router) ProcessOne(p *pkt.Packet) bool {
 	return true
 }
 
-// Step polls every interface once, forwarding what arrived and draining
-// outputs; returns the number of packets forwarded. Run loops use it.
+// Step polls every interface once, forwarding what arrived, then drains
+// up to 64 packets from each output. It returns the packets forwarded
+// plus the packets transmitted, so zero means the router is quiescent:
+// nothing arrived and no output queue holds a packet the link could
+// send. Run loops and simulation pumps loop on it until it returns 0.
 func (r *Router) Step() int {
 	st := r.state.Load()
 	n := 0
@@ -1116,7 +1145,7 @@ func (r *Router) Step() int {
 		}
 	}
 	for _, ifc := range st.list {
-		r.TxDrain(ifc.Index, 64)
+		n += r.TxDrain(ifc.Index, 64)
 	}
 	return n
 }
@@ -1150,24 +1179,34 @@ func (r *Router) stepSubmit() int {
 	return n
 }
 
+// idleWait is the fallback timer of a parked run loop. The doorbell
+// wakes the loop on every arrival; the timer serves what no arrival
+// announces: shaped queues whose packets become eligible with time,
+// packets queued for output from outside the loop, and the worker
+// pool's deferred reclamation.
+const idleWait = 50 * time.Microsecond
+
 // Run processes packets until done closes. With Config.Workers > 1 it
 // runs the parallel engine: ingress packets are steered to the worker
 // pool by flow hash (per-flow ordering preserved), while this loop
-// drains outputs and collects deferred plugin reclamation.
+// drains outputs and collects deferred plugin reclamation. An iteration
+// that neither forwards nor transmits parks the loop until the doorbell
+// rings, the fallback timer fires, or done closes.
 func (r *Router) Run(done <-chan struct{}) {
 	if r.pool != nil {
 		r.runParallel(done)
 		return
 	}
+	idle := time.NewTimer(r.idle)
+	defer idle.Stop()
 	for {
 		select {
 		case <-done:
 			return
 		default:
 		}
-		if r.Step() == 0 {
-			// Idle: yield briefly rather than spin hot.
-			time.Sleep(50 * time.Microsecond)
+		if r.Step() == 0 && !r.park(idle, done) {
+			return
 		}
 	}
 }
@@ -1176,6 +1215,8 @@ func (r *Router) Run(done <-chan struct{}) {
 func (r *Router) runParallel(done <-chan struct{}) {
 	r.pool.Start()
 	defer r.pool.Stop()
+	idle := time.NewTimer(r.idle)
+	defer idle.Stop()
 	for {
 		select {
 		case <-done:
@@ -1191,8 +1232,28 @@ func (r *Router) runParallel(done <-chan struct{}) {
 		if rc := r.pool.Reclaimer(); rc != nil {
 			rc.Collect()
 		}
-		if submitted == 0 && drained == 0 {
-			time.Sleep(50 * time.Microsecond)
+		if submitted == 0 && drained == 0 && !r.park(idle, done) {
+			return
 		}
 	}
+}
+
+// park blocks an idle run loop on the doorbell, the fallback timer, or
+// done, counting the wake cause; it reports false when done closed. A
+// packet enqueued after the loop's last empty poll rang the bell after
+// its enqueue, so its token is either already buffered here or wakes
+// this select: no arrival waits for the timer.
+func (r *Router) park(idle *time.Timer, done <-chan struct{}) bool {
+	idle.Reset(r.idle)
+	select {
+	case <-r.bell:
+		r.stats.wakeBell.Add(1)
+		r.telWakeBell.Inc()
+	case <-idle.C:
+		r.stats.wakeTimer.Add(1)
+		r.telWakeTimer.Inc()
+	case <-done:
+		return false
+	}
+	return true
 }

@@ -180,6 +180,10 @@ func (p *Pool) worker(i int) {
 			return
 		}
 		b.ForwardBatch(batch)
+		// The batch's survivors sit on the output queues, which only
+		// the run loop drains: wake it rather than leave them for its
+		// fallback timer.
+		p.r.bell.Ring()
 		p.fwd.Add(i, uint64(len(batch)))
 		batch = batch[:0]
 		ep.Quiesce()

@@ -11,7 +11,9 @@
 // (internal/netio provides the UDP overlay driver) the same rings are
 // fed by real OS sockets: the driver's RX goroutine pushes received
 // packets into the RX ring via InjectPacket, and Transmit hands egress
-// packets to the driver instead of the in-memory peer.
+// packets to the driver instead of the in-memory peer. On either
+// substrate every successful RX-ring enqueue rings the router core's
+// Doorbell, so an idle forwarding loop wakes on arrival.
 package netdev
 
 import (
@@ -178,6 +180,12 @@ type Interface struct {
 	stats ifStats
 	tel   ifTel
 
+	// bell is the forwarding loop's doorbell (SetDoorbell), rung after
+	// every successful RX-ring enqueue so a parked run loop wakes on
+	// arrival. Atomic so the RX paths read it without i.mu; nil until a
+	// router attaches the interface.
+	bell atomic.Pointer[Doorbell]
+
 	// The receive buffer pool: Inject copies wire bytes into a pool
 	// buffer, exactly like a DMA engine filling preallocated mbufs, and
 	// stamps the packet's Owner so whoever retires it (transmit, drop,
@@ -264,6 +272,48 @@ func (i *Interface) Driver() Driver {
 	return i.driver
 }
 
+// Doorbell wakes a forwarding loop parked on it: a channel of capacity
+// 1 whose token means "poll again". Producers ring after the enqueue
+// they announce, so a loop that found the rings empty and then parks
+// either finds the token buffered or is woken by it.
+type Doorbell chan struct{}
+
+// NewDoorbell returns an unrung doorbell.
+func NewDoorbell() Doorbell { return make(Doorbell, 1) }
+
+// Ring posts a wakeup without blocking. A full doorbell already holds
+// a token the loop has not consumed, and one poll serves every enqueue
+// before it, so the send is skipped.
+//
+//eisr:fastpath
+func (d Doorbell) Ring() {
+	select {
+	case d <- struct{}{}:
+	default:
+	}
+}
+
+// SetDoorbell installs the doorbell rung after every successful RX-ring
+// enqueue (Inject, InjectPacket, and a peer's Transmit into this
+// interface). The router core installs its own when the interface is
+// attached and parks its idle run loop on it. Safe to call while
+// traffic flows: installers serialize on i.mu, the RX paths read the
+// doorbell with one atomic load.
+func (i *Interface) SetDoorbell(bell Doorbell) {
+	i.mu.Lock()
+	i.bell.Store(&bell)
+	i.mu.Unlock()
+}
+
+// ringBell rings the installed doorbell, if any.
+//
+//eisr:fastpath
+func (i *Interface) ringBell() {
+	if b := i.bell.Load(); b != nil {
+		b.Ring()
+	}
+}
+
 // SetTelemetry registers the interface's counters on a metrics registry
 // (Prometheus exposition). Nil-safe; call before traffic for complete
 // counts. Events recorded before attachment are visible in Stats but
@@ -340,6 +390,7 @@ func (i *Interface) Inject(data []byte) error {
 		i.stats.rxBytes.Add(uint64(len(data)))
 		i.tel.rxPackets.Inc()
 		i.tel.rxBytes.Add(uint64(len(data)))
+		i.ringBell()
 		return nil
 	default:
 		p.ReleaseBuf()
@@ -447,6 +498,7 @@ func (i *Interface) InjectPacket(p *pkt.Packet) error {
 		i.stats.rxBytes.Add(uint64(len(p.Data)))
 		i.tel.rxPackets.Inc()
 		i.tel.rxBytes.Add(uint64(len(p.Data)))
+		i.ringBell()
 		return nil
 	default:
 		i.stats.rxDropRing.Add(1)
@@ -546,6 +598,7 @@ func (i *Interface) Transmit(p *pkt.Packet) error {
 			peer.stats.rxBytes.Add(uint64(len(q.Data)))
 			peer.tel.rxPackets.Inc()
 			peer.tel.rxBytes.Add(uint64(len(q.Data)))
+			peer.ringBell()
 		default:
 			q.ReleaseBuf()
 			peer.stats.rxDropRing.Add(1)

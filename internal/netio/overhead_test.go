@@ -3,10 +3,10 @@ package netio
 // Overhead guard (run by `make bench-smoke`): the steady-state wire
 // paths must not allocate per packet. RX: deliver — parse the key,
 // reset the slot's embedded packet in place, inject into the ring,
-// count. TX: TransmitWire (buffer grab + copy + queue) and txOne
-// (socket write + recycle). The alloc assertions run in every
-// `go test`; the timing log is gated behind EISR_BENCH_SMOKE=1 like
-// the other overhead guards.
+// count, ring the router's doorbell. TX: TransmitWire (buffer grab +
+// copy + queue) and txOne (socket write + recycle). The alloc
+// assertions run in every `go test`; the timing log is gated behind
+// EISR_BENCH_SMOKE=1 like the other overhead guards.
 
 import (
 	"net"
@@ -35,10 +35,19 @@ func newRxRig(tb testing.TB) (*netdev.Interface, *UDPLink, *rxSlot, int) {
 
 func TestNetioRxDeliverZeroAlloc(t *testing.T) {
 	ifc, l, slot, n := newRxRig(t)
+	// With the router's doorbell installed, as on a live router: the
+	// enqueue also rings it (drained here so every delivery sends).
+	bell := netdev.NewDoorbell()
+	ifc.SetDoorbell(bell)
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.deliver(slot, n)
 		if ifc.Poll() == nil {
 			t.Fatal("deliver did not reach the ring")
+		}
+		select {
+		case <-bell:
+		default:
+			t.Fatal("deliver did not ring the doorbell")
 		}
 	})
 	if allocs != 0 {

@@ -206,6 +206,12 @@ func NewUDPLink(ifc *netdev.Interface, cfg Config) (*UDPLink, error) {
 		// truncated at the buffer boundary.
 		l.slots[i].buf = make([]byte, l.mtu+pkt.MaxPathEncap+1)
 	}
+	// Datagrams the RX goroutine has not read yet queue in the socket's
+	// receive buffer, and the kernel drops silently once it is full: a
+	// burst the RX ring could absorb must fit there first. Ask for room
+	// for a full ring of MTU-sized frames; the kernel caps the request
+	// at net.core.rmem_max, and a refusal leaves its default size.
+	_ = conn.SetReadBuffer(len(l.slots) * (l.mtu + pkt.MaxPathEncap))
 	for i := 0; i < txRing; i++ {
 		// Egress frames carry up to MaxPathEncap bytes of trace context
 		// in front of an MTU-sized datagram.
